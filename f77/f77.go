@@ -61,6 +61,17 @@ func pivOut(src, dst []int) {
 	}
 }
 
+// bkPivOut writes 0-based Bunch–Kaufman pivots back as 1-based: 1×1 pivot
+// rows shift by one, 2×2 block markers stay negative.
+func bkPivOut(src, dst []int) {
+	for i, p := range src {
+		if p >= 0 {
+			p++
+		}
+		dst[i] = p
+	}
+}
+
 // GETRF computes an LU factorization with partial pivoting
 // (xGETRF: M, N, A, LDA, IPIV, INFO). ipiv is 1-based on return.
 func GETRF[T Scalar](m, n int, a []T, lda int, ipiv []int) (info int) {
@@ -161,13 +172,7 @@ func SYSV[T Scalar](uplo UpLo, n, nrhs int, a []T, lda int, ipiv []int, b []T, l
 	cfg := core.Default()
 	p := make([]int, n)
 	info = lapack.Sysv(cfg, uplo, n, nrhs, a, lda, p, b, ldb)
-	for i, v := range p {
-		if v >= 0 {
-			ipiv[i] = v + 1
-		} else {
-			ipiv[i] = v // 2×2 block markers stay negative
-		}
-	}
+	bkPivOut(p, ipiv)
 	return info
 }
 
@@ -177,13 +182,7 @@ func HESV[T Scalar](uplo UpLo, n, nrhs int, a []T, lda int, ipiv []int, b []T, l
 	cfg := core.Default()
 	p := make([]int, n)
 	info = lapack.Hesv(cfg, uplo, n, nrhs, a, lda, p, b, ldb)
-	for i, v := range p {
-		if v >= 0 {
-			ipiv[i] = v + 1
-		} else {
-			ipiv[i] = v
-		}
-	}
+	bkPivOut(p, ipiv)
 	return info
 }
 

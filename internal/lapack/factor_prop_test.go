@@ -373,10 +373,12 @@ func testSytrfBlockedVsUnblocked[T core.Scalar](t *testing.T, uplo lapack.Uplo, 
 }
 
 func TestSytrfBlockedVsUnblocked(t *testing.T) {
-	for _, n := range []int{49, 60, 97, 130} {
+	for _, n := range []int{47, 48, 49, 60, 97, 130} {
 		for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
 			t.Run("float64", func(t *testing.T) { testSytrfBlockedVsUnblocked[float64](t, uplo, n) })
 			t.Run("complex128", func(t *testing.T) { testSytrfBlockedVsUnblocked[complex128](t, uplo, n) })
+			t.Run("float32", func(t *testing.T) { testSytrfBlockedVsUnblocked[float32](t, uplo, n) })
+			t.Run("complex64", func(t *testing.T) { testSytrfBlockedVsUnblocked[complex64](t, uplo, n) })
 		}
 	}
 }
@@ -419,10 +421,12 @@ func testHetrfBlockedVsUnblocked[T core.Scalar](t *testing.T, uplo lapack.Uplo, 
 }
 
 func TestHetrfBlockedVsUnblocked(t *testing.T) {
-	for _, n := range []int{49, 60, 97, 130} {
+	for _, n := range []int{47, 48, 49, 60, 97, 130} {
 		for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
 			t.Run("complex128", func(t *testing.T) { testHetrfBlockedVsUnblocked[complex128](t, uplo, n) })
 			t.Run("complex64", func(t *testing.T) { testHetrfBlockedVsUnblocked[complex64](t, uplo, n) })
+			t.Run("float64", func(t *testing.T) { testHetrfBlockedVsUnblocked[float64](t, uplo, n) })
+			t.Run("float32", func(t *testing.T) { testHetrfBlockedVsUnblocked[float32](t, uplo, n) })
 		}
 	}
 }

@@ -42,105 +42,94 @@ func repackTri[T core.Scalar](uplo Uplo, n int, a []T, ap []T) {
 	}
 }
 
-// Sptrf computes the Bunch–Kaufman factorization of a symmetric matrix in
-// packed storage (xSPTRF).
-func Sptrf[T core.Scalar](uplo Uplo, n int, ap []T, ipiv []int) int {
+// bkPtrf is bkTf2 on packed storage (xSPTRF, xHPTRF).
+func bkPtrf[T core.Scalar](herm bool, uplo Uplo, n int, ap []T, ipiv []int) int {
 	a := unpackTri(uplo, n, ap)
-	info := Sytf2(uplo, n, a, n, ipiv)
+	info := bkTf2(herm, uplo, n, a, n, ipiv)
 	repackTri(uplo, n, a, ap)
 	return info
 }
 
-// Sptrs solves A·X = B using the packed factorization from Sptrf (xSPTRS).
-func Sptrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) {
-	a := unpackTri(uplo, n, ap)
-	Sytrs(cfg, uplo, n, nrhs, a, n, ipiv, b, ldb)
-}
-
-// Spsv solves A·X = B for a symmetric indefinite matrix in packed storage
-// (the xSPSV driver).
-func Spsv[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) int {
-	info := Sptrf(uplo, n, ap, ipiv)
+// bkPsv factors the packed A and, when it is nonsingular, solves
+// A·X = B (xSPSV, xHPSV).
+func bkPsv[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) int {
+	info := bkPtrf(herm, uplo, n, ap, ipiv)
 	if info == 0 {
-		Sptrs(cfg, uplo, n, nrhs, ap, ipiv, b, ldb)
+		bkTrs(cfg, herm, uplo, n, nrhs, unpackTri(uplo, n, ap), n, ipiv, b, ldb)
 	}
 	return info
 }
 
-// Spcon estimates the reciprocal 1-norm condition number from the packed
-// factorization (xSPCON).
-func Spcon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, ap []T, ipiv []int, anorm float64) float64 {
-	if n == 0 {
-		return 1
+// bkPrfs iteratively refines the solution of a packed system (xSPRFS,
+// xHPRFS).
+func bkPrfs[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nrhs int, ap, afp []T, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
+	af := unpackTri(uplo, n, afp)
+	spmv := blas.Spmv[T]
+	if herm {
+		spmv = blas.Hpmv[T]
 	}
-	if anorm == 0 {
-		return 0
-	}
-	a := unpackTri(uplo, n, ap)
-	return Sycon(cfg, uplo, n, a, n, ipiv, anorm)
+	rfs(NoTrans, n, nrhs,
+		func(_ Trans, alpha T, x []T, beta T, y []T) { spmv(uplo, n, alpha, ap, x, 1, beta, y, 1) },
+		func(_ Trans, xa, y []float64) { absSpmv(uplo, n, ap, xa, y) },
+		func(_ Trans, r []T) { bkTrs(cfg, herm, uplo, n, 1, af, n, ipiv, r, n) },
+		b, ldb, x, ldx, ferr, berr)
 }
 
-// Sprfs iteratively refines the solution of a packed symmetric indefinite
-// system (xSPRFS).
-func Sprfs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap, afp []T, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	af := unpackTri(uplo, n, afp)
-	rfs(NoTrans, n, nrhs,
-		func(_ Trans, alpha T, x []T, beta T, y []T) {
-			blas.Spmv(uplo, n, alpha, ap, x, 1, beta, y, 1)
-		},
-		func(_ Trans, xa, y []float64) { absSpmv(uplo, n, ap, xa, y) },
-		func(_ Trans, r []T) { Sytrs(cfg, uplo, n, 1, af, n, ipiv, r, n) },
-		b, ldb, x, ldx, ferr, berr)
+// Sptrf computes the Bunch–Kaufman factorization of a symmetric matrix in
+// packed storage (xSPTRF).
+func Sptrf[T core.Scalar](uplo Uplo, n int, ap []T, ipiv []int) int {
+	return bkPtrf(false, uplo, n, ap, ipiv)
 }
 
 // Hptrf computes the Bunch–Kaufman factorization of a Hermitian matrix in
 // packed storage (xHPTRF).
 func Hptrf[T core.Scalar](uplo Uplo, n int, ap []T, ipiv []int) int {
-	a := unpackTri(uplo, n, ap)
-	info := Hetf2(uplo, n, a, n, ipiv)
-	repackTri(uplo, n, a, ap)
-	return info
+	return bkPtrf(true, uplo, n, ap, ipiv)
+}
+
+// Sptrs solves A·X = B using the packed factorization from Sptrf (xSPTRS).
+func Sptrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) {
+	bkTrs(cfg, false, uplo, n, nrhs, unpackTri(uplo, n, ap), n, ipiv, b, ldb)
 }
 
 // Hptrs solves A·X = B using the packed Hermitian factorization from Hptrf
 // (xHPTRS).
 func Hptrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) {
-	a := unpackTri(uplo, n, ap)
-	Hetrs(cfg, uplo, n, nrhs, a, n, ipiv, b, ldb)
+	bkTrs(cfg, true, uplo, n, nrhs, unpackTri(uplo, n, ap), n, ipiv, b, ldb)
+}
+
+// Spsv solves A·X = B for a symmetric indefinite matrix in packed storage
+// (the xSPSV driver).
+func Spsv[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) int {
+	return bkPsv(cfg, false, uplo, n, nrhs, ap, ipiv, b, ldb)
 }
 
 // Hpsv solves A·X = B for a Hermitian indefinite matrix in packed storage
 // (the xHPSV driver).
 func Hpsv[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) int {
-	info := Hptrf(uplo, n, ap, ipiv)
-	if info == 0 {
-		Hptrs(cfg, uplo, n, nrhs, ap, ipiv, b, ldb)
-	}
-	return info
+	return bkPsv(cfg, true, uplo, n, nrhs, ap, ipiv, b, ldb)
+}
+
+// Spcon estimates the reciprocal 1-norm condition number from the packed
+// factorization (xSPCON).
+func Spcon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, ap []T, ipiv []int, anorm float64) float64 {
+	return bkCon(cfg, false, uplo, n, unpackTri(uplo, n, ap), n, ipiv, anorm)
 }
 
 // Hpcon estimates the reciprocal 1-norm condition number from the packed
 // Hermitian factorization (xHPCON).
 func Hpcon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, ap []T, ipiv []int, anorm float64) float64 {
-	if n == 0 {
-		return 1
-	}
-	if anorm == 0 {
-		return 0
-	}
-	a := unpackTri(uplo, n, ap)
-	return Hecon(cfg, uplo, n, a, n, ipiv, anorm)
+	return bkCon(cfg, true, uplo, n, unpackTri(uplo, n, ap), n, ipiv, anorm)
+}
+
+// Sprfs iteratively refines the solution of a packed symmetric indefinite
+// system (xSPRFS).
+func Sprfs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap, afp []T, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
+	bkPrfs(cfg, false, uplo, n, nrhs, ap, afp, ipiv, b, ldb, x, ldx, ferr, berr)
 }
 
 // Hprfs iteratively refines the solution of a packed Hermitian indefinite
 // system (xHPRFS).
 func Hprfs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap, afp []T, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	af := unpackTri(uplo, n, afp)
-	rfs(NoTrans, n, nrhs,
-		func(_ Trans, alpha T, x []T, beta T, y []T) {
-			blas.Hpmv(uplo, n, alpha, ap, x, 1, beta, y, 1)
-		},
-		func(_ Trans, xa, y []float64) { absSpmv(uplo, n, ap, xa, y) },
-		func(_ Trans, r []T) { Hetrs(cfg, uplo, n, 1, af, n, ipiv, r, n) },
-		b, ldb, x, ldx, ferr, berr)
+	bkPrfs(cfg, true, uplo, n, nrhs, ap, afp, ipiv, b, ldb, x, ldx, ferr, berr)
 }

@@ -251,37 +251,19 @@ func PTSVX[T Scalar](d []float64, e []T, b *Matrix[T], opts ...Opt) (result *Exp
 // SYSVX is the expert driver for symmetric indefinite systems (the
 // paper's LA_SYSVX).
 func SYSVX[T Scalar](a, b *Matrix[T], opts ...Opt) (result *ExpertResult[T], err error) {
-	const routine = "LA_SYSVX"
-	defer guard(routine, &err)
-	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
-	}
-	if !rhsMatch(a.Rows, b) {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
-	}
-	n, nrhs := a.Rows, b.Cols
-	af := NewMatrix[T](n, n)
-	ipiv := make([]int, n)
-	x := NewMatrix[T](n, nrhs)
-	res := lapack.Sysvx(cfg, o.fact, o.uplo, n, nrhs, a.Data, a.Stride, af.Data, af.Stride, ipiv, b.Data, b.Stride, x.Data, x.Stride)
-	out := &ExpertResult[T]{X: x, RCond: res.RCond, Ferr: res.Ferr, Berr: res.Berr, IPiv: ipiv}
-	return out, erexpert(routine, res.Info, n, res.RCond, 0, "D(i,i) is exactly zero; the factorization is singular", DiagSingular)
+	return sysvx("LA_SYSVX", false, a, b, opts)
 }
 
 // HESVX is the expert driver for Hermitian indefinite systems (the
 // paper's LA_HESVX).
 func HESVX[T Scalar](a, b *Matrix[T], opts ...Opt) (result *ExpertResult[T], err error) {
-	const routine = "LA_HESVX"
+	return sysvx("LA_HESVX", true, a, b, opts)
+}
+
+// sysvx is the body of SYSVX (herm false) and HESVX (herm true).
+func sysvx[T Scalar](routine string, herm bool, a, b *Matrix[T], opts []Opt) (result *ExpertResult[T], err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
 	if !square(a) {
 		return nil, erinfo(routine, -1, "")
 	}
@@ -293,11 +275,15 @@ func HESVX[T Scalar](a, b *Matrix[T], opts ...Opt) (result *ExpertResult[T], err
 			return nil, err
 		}
 	}
+	svx := lapack.Sysvx[T]
+	if herm {
+		svx = lapack.Hesvx[T]
+	}
 	n, nrhs := a.Rows, b.Cols
 	af := NewMatrix[T](n, n)
 	ipiv := make([]int, n)
 	x := NewMatrix[T](n, nrhs)
-	res := lapack.Hesvx(cfg, o.fact, o.uplo, n, nrhs, a.Data, a.Stride, af.Data, af.Stride, ipiv, b.Data, b.Stride, x.Data, x.Stride)
+	res := svx(o.cfg, o.fact, o.uplo, n, nrhs, a.Data, a.Stride, af.Data, af.Stride, ipiv, b.Data, b.Stride, x.Data, x.Stride)
 	out := &ExpertResult[T]{X: x, RCond: res.RCond, Ferr: res.Ferr, Berr: res.Berr, IPiv: ipiv}
 	return out, erexpert(routine, res.Info, n, res.RCond, 0, "D(i,i) is exactly zero; the factorization is singular", DiagSingular)
 }
@@ -306,45 +292,17 @@ func HESVX[T Scalar](a, b *Matrix[T], opts ...Opt) (result *ExpertResult[T], err
 // paper's LA_SPSVX): factorization, solve, refinement and condition
 // estimation on packed storage.
 func SPSVX[T Scalar](ap []T, b *Matrix[T], opts ...Opt) (result *ExpertResult[T], err error) {
-	const routine = "LA_SPSVX"
-	defer guard(routine, &err)
-	o := apply(opts)
-	cfg := o.cfg
-	n := packedOrder(len(ap))
-	if n < 0 {
-		return nil, erinfo(routine, -1, "")
-	}
-	if !rhsMatch(n, b) {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteSlice(routine, 1, "AP", ap), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
-	}
-	nrhs := b.Cols
-	afp := append([]T(nil), ap...)
-	ipiv := make([]int, n)
-	info := lapack.Sptrf(o.uplo, n, afp, ipiv)
-	out := &ExpertResult[T]{X: NewMatrix[T](n, nrhs), Ferr: make([]float64, nrhs), Berr: make([]float64, nrhs), IPiv: ipiv}
-	if info != 0 {
-		return out, erdiag(routine, info, "D(i,i) is exactly zero", DiagSingular)
-	}
-	anorm := lapack.Lansp(lapack.OneNorm, o.uplo, n, ap)
-	out.RCond = lapack.Spcon(cfg, o.uplo, n, afp, ipiv, anorm)
-	lapack.Lacpy('A', n, nrhs, b.Data, b.Stride, out.X.Data, out.X.Stride)
-	lapack.Sptrs(cfg, o.uplo, n, nrhs, afp, ipiv, out.X.Data, out.X.Stride)
-	lapack.Sprfs(cfg, o.uplo, n, nrhs, ap, afp, ipiv, b.Data, b.Stride, out.X.Data, out.X.Stride, out.Ferr, out.Berr)
-	if out.RCond < epsFor[T]() {
-		info = n + 1
-	}
-	return out, erexpert(routine, info, n, out.RCond, 0, "D(i,i) is exactly zero; the factorization is singular", DiagSingular)
+	return spsvx("LA_SPSVX", false, ap, b, opts)
 }
 
 // HPSVX is the expert driver for packed Hermitian indefinite systems (the
 // paper's LA_HPSVX).
 func HPSVX[T Scalar](ap []T, b *Matrix[T], opts ...Opt) (result *ExpertResult[T], err error) {
-	const routine = "LA_HPSVX"
+	return spsvx("LA_HPSVX", true, ap, b, opts)
+}
+
+// spsvx is the body of SPSVX (herm false) and HPSVX (herm true).
+func spsvx[T Scalar](routine string, herm bool, ap []T, b *Matrix[T], opts []Opt) (result *ExpertResult[T], err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
@@ -360,19 +318,23 @@ func HPSVX[T Scalar](ap []T, b *Matrix[T], opts ...Opt) (result *ExpertResult[T]
 			return nil, err
 		}
 	}
+	trf, con, trs, rfs := lapack.Sptrf[T], lapack.Spcon[T], lapack.Sptrs[T], lapack.Sprfs[T]
+	if herm {
+		trf, con, trs, rfs = lapack.Hptrf[T], lapack.Hpcon[T], lapack.Hptrs[T], lapack.Hprfs[T]
+	}
 	nrhs := b.Cols
 	afp := append([]T(nil), ap...)
 	ipiv := make([]int, n)
-	info := lapack.Hptrf(o.uplo, n, afp, ipiv)
+	info := trf(o.uplo, n, afp, ipiv)
 	out := &ExpertResult[T]{X: NewMatrix[T](n, nrhs), Ferr: make([]float64, nrhs), Berr: make([]float64, nrhs), IPiv: ipiv}
 	if info != 0 {
 		return out, erdiag(routine, info, "D(i,i) is exactly zero", DiagSingular)
 	}
 	anorm := lapack.Lansp(lapack.OneNorm, o.uplo, n, ap)
-	out.RCond = lapack.Hpcon(cfg, o.uplo, n, afp, ipiv, anorm)
+	out.RCond = con(cfg, o.uplo, n, afp, ipiv, anorm)
 	lapack.Lacpy('A', n, nrhs, b.Data, b.Stride, out.X.Data, out.X.Stride)
-	lapack.Hptrs(cfg, o.uplo, n, nrhs, afp, ipiv, out.X.Data, out.X.Stride)
-	lapack.Hprfs(cfg, o.uplo, n, nrhs, ap, afp, ipiv, b.Data, b.Stride, out.X.Data, out.X.Stride, out.Ferr, out.Berr)
+	trs(cfg, o.uplo, n, nrhs, afp, ipiv, out.X.Data, out.X.Stride)
+	rfs(cfg, o.uplo, n, nrhs, ap, afp, ipiv, b.Data, b.Stride, out.X.Data, out.X.Stride, out.Ferr, out.Berr)
 	if out.RCond < epsFor[T]() {
 		info = n + 1
 	}
